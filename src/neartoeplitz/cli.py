@@ -47,7 +47,6 @@ from .spectra import (
     near_toeplitz_eigen,
     skew_toeplitz_eigen,
     spectrum_report,
-    symmetric_toeplitz_eigen,
 )
 from .transforms import commutator_check, reduce_R
 
@@ -203,15 +202,19 @@ def cmd_eigen(args) -> int:
         if any(v is None for v in bands):
             raise CliUsageError("family T requires --a, --b and --c")
         a, b, c = bands
-        if a == c:
-            pairs = symmetric_toeplitz_eigen(a, b, n)
-        else:
-            pairs = general_toeplitz_eigen(a, b, c, n)
+        pairs = general_toeplitz_eigen(a, b, c, n)
         descriptor = (
             f"T(n={n}, a={format_complex(a)}, b={format_complex(b)}, "
             f"c={format_complex(c)})"
         )
         report = spectrum_report(descriptor, build_toeplitz(a, b, c, n), pairs, tol=tol)
+    if not math.isfinite(report.max_residual):
+        print(
+            f"error: residual is {report.max_residual}; the closed form is not "
+            f"finite at n={n}",
+            file=sys.stderr,
+        )
+        return EXIT_CHECK_FAILED
     _emit(args, _render_report(report, args.format))
     if not report.verified:
         print(

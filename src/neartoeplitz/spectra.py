@@ -1,14 +1,14 @@
 """Closed-form eigen-solvers for the four structured matrix families.
 
-The symmetric Toeplitz family T_n(a, b, a) has eigenvalues
-b + 2a cos(j pi/(n+1)) with sine eigenvectors; the skew-symmetric family
-K_n twists the sine vectors by powers of i and scales the cosines by 2i;
-a general band pair (a, c) with ac != 0 reduces to the symmetric case by a
-diagonal similarity; and the corner-signed near-Toeplitz matrix R_n picks
-up the whole spectrum of K_{n-1} (angle pi/n) plus the all-ones kernel
-vector.  For even n the j = n/2 construction collapses onto the all-ones
-direction, so zero has algebraic multiplicity 2 but only one independent
-eigenvector; that pair is flagged instead of silently duplicated.
+One kernel, general_toeplitz_eigen, builds every Toeplitz spectrum from the
+sine vectors of T_n(s, b, s): the symmetric family T_n(a, b, a) takes s = a,
+a band pair (a, c) with ac != 0 takes s = sqrt(ac) through a diagonal
+similarity, and K_n = T_n(-1, 0, 1) is the case s = i.  The corner-signed
+near-Toeplitz matrix R_n picks up the whole spectrum of K_{n-1} (angle
+pi/n), lifted through S = I + Z, plus the all-ones kernel vector.  For even
+n the j = n/2 construction collapses onto the all-ones direction, so zero
+has algebraic multiplicity 2 but only one independent eigenvector; that
+pair is flagged instead of silently duplicated.
 """
 
 from __future__ import annotations
@@ -92,15 +92,16 @@ def normalize_eigenvector(v) -> np.ndarray:
 
     The scaling factor is the phase of the first nonzero component times
     the maximum component magnitude, which makes the output deterministic
-    and satisfies the reporting convention for every solver.
+    and satisfies the reporting convention for every solver.  A stack of
+    vectors is scaled row by row along the last axis.
     """
     v = np.asarray(v, dtype=np.complex128)
     mags = np.abs(v)
-    top = float(mags.max()) if v.size else 0.0
-    if top == 0.0:
+    if v.size == 0 or not mags.any(axis=-1).all():
         raise ZeroVector("cannot normalize the zero vector")
-    first = int(np.flatnonzero(mags)[0])
-    phase = v[first] / mags[first]
+    top = mags.max(axis=-1, keepdims=True)
+    first = np.argmax(mags != 0, axis=-1)[..., None]
+    phase = np.take_along_axis(v, first, -1) / np.take_along_axis(mags, first, -1)
     out = v / (phase * top)
     out.setflags(write=False)
     return out
@@ -145,123 +146,87 @@ class SpectrumReport:
         return [p.value for p in self.pairs]
 
 
-def _standard_basis(n: int, j: int) -> np.ndarray:
-    e = np.zeros(n, dtype=np.complex128)
-    e[j - 1] = 1.0
-    return e
-
-
-def symmetric_toeplitz_eigen(a: float, b: float, n: int) -> list:
-    """Eigen-pairs of the symmetric Toeplitz matrix T_n(a, b, a).
-
-    For j = 1..n the eigenvalue is b + 2a cos(j theta) and the eigenvector
-    has k-th component sin(k j theta), theta = pi/(n+1).  Eigenvalues are
-    computed as b + a * (2 cos(j theta)) so that shifting b and scaling a
-    reproduce the base spectrum bitwise.  For the degenerate band a = 0
-    the matrix is b*I and the standard basis is emitted instead of the
-    sine vectors.
-    """
-    if n < 1:
-        raise OrderTooSmall(f"eigen-solver needs n >= 1, got n={n}")
-    a = complex(a)
-    b = complex(b)
-    pairs = []
-    for j in range(1, n + 1):
-        if a == 0:
-            pairs.append(EigenPair(index_j=j, value=b, vector=_standard_basis(n, j)))
-            continue
-        base = 2.0 * cos_pi_frac(j, n + 1)
-        u = np.array([sin_pi_frac(k * j, n + 1) for k in range(1, n + 1)])
-        pairs.append(
-            EigenPair(index_j=j, value=b + a * base, vector=normalize_eigenvector(u))
-        )
-    return pairs
-
-
-def _twisted_component(k: int, s: float) -> complex:
-    # i**k * s built from exact quarter-turn factors; avoids -0.0 parts.
-    if s == 0.0:
-        return 0.0 + 0.0j
-    q = k % 4
-    if q == 0:
-        return complex(s, 0.0)
-    if q == 1:
-        return complex(0.0, s)
-    if q == 2:
-        return complex(-s, 0.0)
-    return complex(0.0, -s)
-
-
-def skew_toeplitz_eigen(n: int) -> list:
-    """Eigen-pairs of the skew-symmetric Toeplitz matrix K_n = T_n(-1, 0, 1).
-
-    For j = 1..n the eigenvalue is 2i cos(j theta) and the eigenvector has
-    k-th component i^k sin(k j theta), theta = pi/(n+1).  Real parts of
-    the eigenvalues are constructed as exactly 0.
-    """
-    if n < 1:
-        raise OrderTooSmall(f"eigen-solver needs n >= 1, got n={n}")
-    pairs = []
-    for j in range(1, n + 1):
-        lam = complex(0.0, 2.0 * cos_pi_frac(j, n + 1))
-        u = np.array(
-            [_twisted_component(k, sin_pi_frac(k * j, n + 1)) for k in range(1, n + 1)]
-        )
-        pairs.append(EigenPair(index_j=j, value=lam, vector=normalize_eigenvector(u)))
-    return pairs
-
-
 def general_toeplitz_eigen(a: complex, b: complex, c: complex, n: int) -> list:
-    """Eigen-pairs of T_n(a, b, c) through the diagonal symmetrization.
+    """Eigen-pairs of T_n(a, b, c), the one closed-form Toeplitz kernel.
 
-    Requires ac != 0.  With s the principal square root of ac and
-    d = s/a (the ratio root branch consistent with s: d^2 = c/a and
-    a d = c/d = s), conjugation by Diag(1, d, ..., d^{n-1}) turns the
-    matrix into T_n(s, b, s); the eigenvalues are b + 2s cos(j theta) and
-    the eigenvectors are the sine vectors divided entrywise by the powers
-    of d.
+    With theta = pi/(n+1) and j, k = 1..n the eigenvalue is
+    b + s (2 cos(j theta)) and the eigenvector has k-th component
+    sin(k j theta) / d^(k-1).  For a == c the bands are already symmetric:
+    s = a and d = 1, and the degenerate band a == c == 0 (the matrix b*I)
+    emits the standard basis.  Otherwise ac != 0 is required; s is the
+    principal square root of ac and d = s/a (the ratio root branch
+    consistent with s: d^2 = c/a and a d = c/d = s), so conjugation by
+    Diag(1, d, ..., d^{n-1}) turns the matrix into T_n(s, b, s).
+    Eigenvalues are computed as b + s * (2 cos(j theta)) so that shifting b
+    and scaling a reproduce the base spectrum bitwise.
     """
+    values, vectors = _toeplitz_arrays(a, b, c, n)
+    return [
+        EigenPair(index_j=j, value=value, vector=vector)
+        for j, (value, vector) in enumerate(zip(values, vectors), start=1)
+    ]
+
+
+def _toeplitz_arrays(a: complex, b: complex, c: complex, n: int) -> tuple:
+    """The eigenvalues of T_n(a, b, c) and its normalized eigenvectors as rows."""
     if n < 1:
         raise OrderTooSmall(f"eigen-solver needs n >= 1, got n={n}")
     a = complex(a)
     b = complex(b)
     c = complex(c)
-    if a * c == 0:
+    if a == c == 0:
+        return [b] * n, np.eye(n, dtype=np.complex128)
+    if a == c:
+        s = a
+    elif a * c == 0:
         raise ZeroBandProduct(f"general solver needs a*c != 0, got a={a}, c={c}")
-    s = cmath.sqrt(a * c)
-    d_inv = a / s  # 1/d for d = s/a
-    inv_powers = np.concatenate(
-        ([1.0 + 0.0j], np.cumprod(np.full(n - 1, d_inv, dtype=np.complex128)))
-    )
-    pairs = []
-    for j in range(1, n + 1):
-        base = 2.0 * cos_pi_frac(j, n + 1)
-        u = np.array([sin_pi_frac(k * j, n + 1) for k in range(1, n + 1)])
-        pairs.append(
-            EigenPair(
-                index_j=j,
-                value=b + s * base,
-                vector=normalize_eigenvector(inv_powers * u),
+    else:
+        s = cmath.sqrt(a * c)
+    m = n + 1
+    # sin(k j theta) depends only on k j mod 2m: one libm call per residue
+    table = np.array([sin_pi_frac(r, m) for r in range(2 * m)])
+    k = np.arange(1, m)
+    vectors = np.empty((n, n), dtype=np.complex128)
+    for j in range(1, m):
+        vectors[j - 1] = table[(k * j) % (2 * m)]
+    # the powers of 1/d can overflow at large n; the NaN vectors that result
+    # fail the residual check in spectrum_report instead of warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a != c:
+            d_inv = a / s
+            inv_powers = np.concatenate(
+                ([1.0 + 0.0j], np.cumprod(np.full(n - 1, d_inv, dtype=np.complex128)))
             )
-        )
-    return pairs
+            vectors *= inv_powers
+        vectors = normalize_eigenvector(vectors)
+    return [b + s * (2.0 * cos_pi_frac(j, m)) for j in range(1, m)], vectors
+
+
+def symmetric_toeplitz_eigen(a: complex, b: complex, n: int) -> list:
+    """Eigen-pairs of the symmetric Toeplitz matrix T_n(a, b, a)."""
+    return general_toeplitz_eigen(a, b, a, n)
+
+
+def skew_toeplitz_eigen(n: int) -> list:
+    """Eigen-pairs of K_n = T_n(-1, 0, 1): values 2i cos(j theta), components i^k sin(k j theta)."""
+    return general_toeplitz_eigen(-1, 0, 1, n)
 
 
 def lift_eigenvector(u, n: int) -> np.ndarray:
-    """Map an eigenvector of K_{n-1} to one of R_n.
+    """Map an eigenvector of K_{n-1} (or a stack of them) to one of R_n.
 
     The similarity reduction sends the zero-padded vector (u, 0) through
     the unit bidiagonal matrix: v_1 = u_1, v_k = u_k + u_{k-1} for
-    2 <= k <= n-1, v_n = u_{n-1}.
+    2 <= k <= n-1, v_n = u_{n-1}.  A stack is lifted along the last axis.
     """
     u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 1 or u.shape[0] != n - 1 or n - 1 < 1:
+    if u.ndim not in (1, 2) or u.shape[-1] != n - 1 or n - 1 < 1:
         raise DimensionMismatch(
-            f"lift needs a vector of length n-1={n - 1}, got shape {u.shape}"
+            f"lift needs vectors of length n-1={n - 1}, got shape {u.shape}"
         )
-    v = np.zeros(n, dtype=np.complex128)
-    v[: n - 1] = u
-    v[1:] += u
+    v = np.zeros(u.shape[:-1] + (n,), dtype=np.complex128)
+    v[..., : n - 1] = u
+    v[..., 1:] += u
     return v
 
 
@@ -282,9 +247,10 @@ def spectrum_report(
         raise DimensionMismatch(
             f"a spectrum of order {matrix.n} needs {matrix.n} pairs, got {len(pairs)}"
         )
-    max_residual = 0.0
-    for pair in pairs:
-        max_residual = max(max_residual, oracle.residual(matrix, pair.value, pair.vector))
+    residuals = [oracle.residual(matrix, pair.value, pair.vector) for pair in pairs]
+    # np.max propagates NaN, so a non-finite residual fails the <= test below;
+    # the builtin max() would drop it
+    max_residual = float(np.max(residuals))
     zero_mult = sum(1 for pair in pairs if pair.value == 0)
     return SpectrumReport(
         matrix_descriptor=descriptor,
@@ -310,14 +276,17 @@ def near_toeplitz_eigen(n: int, tol: float = RESIDUAL_TOL) -> SpectrumReport:
         raise OrderTooSmall(f"the near-Toeplitz family needs n >= 2, got n={n}")
     R = build_R(n)
     ones = normalize_eigenvector(np.ones(n, dtype=np.complex128))
+    values, vectors = _toeplitz_arrays(-1, 0, 1, n - 1)  # the spectrum of K_{n-1}
+    # lift and normalize in separate statements, so that each n-by-n stack
+    # is freed before the next one is allocated
+    vectors = lift_eigenvector(vectors, n)
+    vectors = normalize_eigenvector(vectors)
     pairs = [EigenPair(index_j=0, value=0.0 + 0.0j, vector=ones)]
-    for kp in skew_toeplitz_eigen(n - 1):
-        j = kp.index_j
-        if n % 2 == 0 and 2 * j == n:
+    for j, (value, vector) in enumerate(zip(values, vectors), start=1):
+        if 2 * j == n:
             pairs.append(
-                EigenPair(index_j=j, value=kp.value, vector=ones, flag=DUPLICATE_OF_ALL_ONES)
+                EigenPair(index_j=j, value=value, vector=ones, flag=DUPLICATE_OF_ALL_ONES)
             )
-            continue
-        lifted = normalize_eigenvector(lift_eigenvector(kp.vector, n))
-        pairs.append(EigenPair(index_j=j, value=kp.value, vector=lifted))
+        else:
+            pairs.append(EigenPair(index_j=j, value=value, vector=vector))
     return spectrum_report(f"R(n={n})", R, pairs, tol=tol)

@@ -11,6 +11,7 @@ and reports a measured residual instead of trusting the algebra.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,9 +160,12 @@ class SymmetrizationCertificate:
 
     @property
     def kappa(self) -> float:
-        """Condition number of the scaling: (max(1,|d|)/min(1,|d|))^(n-1)."""
+        """Condition number of the scaling: (max(1,|d|)/min(1,|d|))^(n-1), inf on overflow."""
         mag = abs(self.d)
-        return (max(1.0, mag) / min(1.0, mag)) ** (self.n - 1)
+        try:
+            return (max(1.0, mag) / min(1.0, mag)) ** (self.n - 1)
+        except OverflowError:
+            return math.inf
 
 
 def diag_symmetrize(a: complex, b: complex, c: complex, n: int) -> SymmetrizationCertificate:

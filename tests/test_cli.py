@@ -79,6 +79,16 @@ class TestExitCodes:
         assert out
         assert "exceeds" in err
 
+    def test_non_finite_residual_is_two_without_data(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eigen", "--family", "T", "--n", "1100",
+            "--a", "4", "--b", "0", "--c", "1",
+        )
+        assert code == 2
+        assert not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "eigen", "--family", "Q", "--n", "4")
         assert code == 1

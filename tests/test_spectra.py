@@ -7,6 +7,8 @@ zero of the near-Toeplitz family splits by about sqrt(eps) there, so that
 comparison uses a 1e-6 gate while simple eigenvalues use 1e-10).
 """
 
+import cmath
+import functools
 import math
 
 import numpy as np
@@ -28,6 +30,7 @@ from neartoeplitz import (
     normalize_eigenvector,
     residual,
     skew_toeplitz_eigen,
+    spectrum_report,
     symmetric_toeplitz_eigen,
 )
 from neartoeplitz.spectra import cos_pi_frac, sin_pi_frac
@@ -210,9 +213,10 @@ class TestGeneralToeplitz:
         for pair in general:
             assert residual(K, pair.value, pair.vector) <= 1e-10
 
-    def test_unit_ratio_matches_symmetric_bitwise(self):
-        general = general_toeplitz_eigen(1, 0, 1, 3)
-        symmetric = symmetric_toeplitz_eigen(1.0, 0.0, 3)
+    @pytest.mark.parametrize("a", [1, -2, 0])
+    def test_unit_ratio_matches_symmetric_bitwise(self, a):
+        general = general_toeplitz_eigen(a, 0, a, 3)
+        symmetric = symmetric_toeplitz_eigen(float(a), 0.0, 3)
         for g, s in zip(general, symmetric):
             assert g.value == s.value
             assert np.array_equal(g.vector, s.vector)
@@ -229,6 +233,13 @@ class TestGeneralToeplitz:
         T = build_toeplitz(a, 1.5, c, n)
         for pair in general_toeplitz_eigen(a, 1.5, c, n):
             assert residual(T, pair.value, pair.vector) <= 1e-10
+
+    def test_overflow_fails_verification(self):
+        # the powers of 1/d = 2 overflow and leave NaN in the vectors
+        pairs = general_toeplitz_eigen(4, 0, 1, 1100)
+        report = spectrum_report("T", build_toeplitz(4, 0, 1, 1100), pairs)
+        assert math.isnan(report.max_residual)
+        assert not report.verified
 
     def test_matches_numpy_eigensolver(self):
         for n in range(2, 11):
@@ -343,3 +354,80 @@ class TestNearToeplitz:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
             near_toeplitz_eigen(1)
+
+
+# The per-component construction the vectorised kernel replaced, kept as its
+# reference: one libm call per entry, the i^k twist for K, and one
+# normalization and one lift per vector.
+def reference_toeplitz(a, b, c, n):
+    a, b, c = complex(a), complex(b), complex(c)
+    if a == c == 0:
+        return [(b, np.eye(n, dtype=complex)[j]) for j in range(n)]
+    s = a if a == c else cmath.sqrt(a * c)
+    inv_powers = np.ones(n)
+    if a != c:
+        inv_powers = np.concatenate(([1.0 + 0.0j], np.cumprod(np.full(n - 1, a / s))))
+    return [
+        (
+            b + s * (2.0 * cos_pi_frac(j, n + 1)),
+            normalize_eigenvector(
+                inv_powers * np.array([sin_pi_frac(k * j, n + 1) for k in range(1, n + 1)])
+            ),
+        )
+        for j in range(1, n + 1)
+    ]
+
+
+def reference_skew(n):
+    return [
+        (
+            complex(0.0, 2.0 * cos_pi_frac(j, n + 1)),
+            normalize_eigenvector([1j**k * sin_pi_frac(k * j, n + 1) for k in range(1, n + 1)]),
+        )
+        for j in range(1, n + 1)
+    ]
+
+
+def reference_near(n):
+    ones = normalize_eigenvector(np.ones(n))
+    pairs = [(0j, ones)]
+    for j, (value, u) in enumerate(reference_skew(n - 1), start=1):
+        lifted = normalize_eigenvector(lift_eigenvector(u, n))
+        pairs.append((value, ones if 2 * j == n else lifted))
+    return pairs
+
+
+T_BANDS = [
+    (1, 0, 1),
+    (-2, 3, -2),
+    (0, 7, 0),
+    (0.5 + 1.5j, 1 - 2j, 0.5 + 1.5j),
+    (4, 0.5, 1),
+    (2, 0.5, -3),
+    (1 + 2j, 0.25, 3 - 1j),
+]
+
+
+@pytest.mark.parametrize(
+    "first_n,solver,reference",
+    [
+        pytest.param(1, skew_toeplitz_eigen, reference_skew, id="K"),
+        pytest.param(2, lambda n: near_toeplitz_eigen(n).pairs, reference_near, id="R"),
+    ]
+    + [
+        pytest.param(
+            1,
+            functools.partial(general_toeplitz_eigen, *bands),
+            functools.partial(reference_toeplitz, *bands),
+            id=f"T{bands}",
+        )
+        for bands in T_BANDS
+    ],
+)
+def test_kernel_matches_per_component_reference(first_n, solver, reference):
+    for n in range(first_n, 65):
+        claimed = solver(n)
+        expected = reference(n)
+        assert np.array_equal([p.value for p in claimed], [value for value, _ in expected])
+        for pair, (_, vector) in zip(claimed, expected, strict=True):
+            assert np.array_equal(pair.vector, vector), (n, pair.index_j)

@@ -1,6 +1,7 @@
 """Tests for the similarity machinery (reduction, commutator, symmetrizer)."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -188,6 +189,9 @@ class TestDiagSymmetrize:
             ]
         general = [p.value for p in general_toeplitz_eigen(a, b, c, n)]
         np.testing.assert_allclose(general, via_symmetric, rtol=0, atol=1e-10)
+
+    def test_kappa_overflow_is_inf(self):
+        assert diag_symmetrize(4, 0, 1, 1100).kappa == math.inf
 
     def test_zero_band_product_rejected(self):
         with pytest.raises(ZeroBandProduct):
