@@ -69,7 +69,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Parse 're' or 're+imi' / 're-imi' (e.g. '-1', '0+1i', '2-3i')."""
+    """Parse 're' or 're+imi' / 're-imi' (e.g. '-1', '0+1i', '2-3i').
+
+    Both parts must be finite: 'nan', 'inf' and overflowing literals such
+    as '1e999' are rejected.
+    """
     s = text.strip()
     if s.endswith("i"):
         body = s[:-1]
@@ -80,8 +84,12 @@ def parse_complex_literal(text: str) -> complex:
                 break
         if split == -1:
             raise ValueError(f"expected re+imi or re-imi, got {text!r}")
-        return complex(float(body[:split]), float(body[split:]))
-    return complex(float(s), 0.0)
+        value = complex(float(body[:split]), float(body[split:]))
+    else:
+        value = complex(float(s), 0.0)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"expected finite parts, got {text!r}")
+    return value
 
 
 def _positive_float(text: str) -> float:

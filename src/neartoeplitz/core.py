@@ -207,13 +207,30 @@ def flip_conjugate(matrix) -> DenseMatrix:
 
 
 def is_centro_symmetric(matrix) -> bool:
-    """True iff E A E = A, compared entrywise with zero tolerance."""
+    """True iff E A E = A, compared entrywise with zero tolerance.
+
+    Banded input is compared on its bands: E A E reverses the diagonal and
+    takes the reversed superdiagonal as its subdiagonal (and vice versa).
+    """
+    if isinstance(matrix, TridiagonalMatrix):
+        return bool(
+            np.array_equal(matrix.diag[::-1], matrix.diag)
+            and np.array_equal(matrix.sup[::-1], matrix.sub)
+        )
     a = as_square_array(matrix)
     return bool(np.array_equal(a[::-1, ::-1], a))
 
 
 def is_centro_skew(matrix) -> bool:
-    """True iff E A E = -A, compared entrywise with zero tolerance."""
+    """True iff E A E = -A, compared entrywise with zero tolerance.
+
+    Banded input is compared on its bands, as in ``is_centro_symmetric``.
+    """
+    if isinstance(matrix, TridiagonalMatrix):
+        return bool(
+            np.array_equal(matrix.diag[::-1], -matrix.diag)
+            and np.array_equal(matrix.sup[::-1], -matrix.sub)
+        )
     a = as_square_array(matrix)
     return bool(np.array_equal(a[::-1, ::-1], -a))
 

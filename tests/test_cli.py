@@ -33,7 +33,9 @@ class TestComplexLiterals:
     def test_accepted(self, text, expected):
         assert parse_complex_literal(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "i", "1i", "1+2", "abc", "1+2j"])
+    @pytest.mark.parametrize(
+        "text", ["", "i", "1i", "1+2", "abc", "1+2j", "nan", "-inf", "1e999", "1+nani", "0-infi"]
+    )
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             parse_complex_literal(text)
@@ -115,6 +117,20 @@ class TestExitCodes:
             "--a", "nope", "--b", "0", "--c", "1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("band", ["--a", "--b", "--c"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_band_is_usage_error(self, capsys, band, value):
+        bands = {"--a": "2", "--b": "0", "--c": "1"}
+        bands[band] = value
+        code, out, err = run_cli(
+            capsys, "eigen", "--family", "T", "--n", "4",
+            *(f"{flag}={text}" for flag, text in bands.items()),
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("error:") == 1
 
     def test_zero_band_product_is_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -231,6 +231,39 @@ class TestCentroPredicates:
     def test_identity_is_not_centro_skew(self):
         assert not is_centro_skew(np.eye(3))
 
+    def test_band_verdicts_match_dense_verdicts(self):
+        # in class, centro-skew and centro-symmetric bands, each also with one
+        # entry perturbed and with its zeros negated; -0.0 == 0.0 both ways
+        rng = np.random.default_rng(29)
+        hits = {"skew": 0, "symmetric": 0}
+        for n in (1, 2, 3, 4, 7, 10):
+            sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            half, middle = diag[: n // 2], diag[n // 2 : n - n // 2]
+            bases = [
+                (sub, np.concatenate((half, [-0.0] * len(middle), -half[::-1])), -sub[::-1]),
+                (sub, np.concatenate((half, middle, half[::-1])), sub[::-1]),
+            ]
+            if n >= 2:
+                corners = np.zeros(n)
+                corners[0], corners[-1] = -rng.uniform(0.5, 2), rng.uniform(0.5, 2)
+                bases.append((-rng.uniform(0.5, 2, n - 1), corners, rng.uniform(0.5, 2, n - 1)))
+            for base in bases:
+                variants = [base, tuple(np.where(band == 0, -0.0, band) for band in base)]
+                for k, band in enumerate(base):
+                    if len(band):
+                        bumped = [b.copy() for b in base]
+                        bumped[k][rng.integers(len(band))] += 0.25
+                        variants.append(tuple(bumped))
+                for sub_v, diag_v, sup_v in variants:
+                    A = TridiagonalMatrix(sub=sub_v, diag=diag_v, sup=sup_v)
+                    skew, symmetric = is_centro_skew(A), is_centro_symmetric(A)
+                    assert skew == is_centro_skew(A.to_dense())
+                    assert symmetric == is_centro_symmetric(A.to_dense())
+                    hits["skew"] += skew
+                    hits["symmetric"] += symmetric
+        assert hits["skew"] >= 12 and hits["symmetric"] >= 12
+
 
 class TestPatternClass:
     def test_R5_in_class(self):

@@ -1,6 +1,7 @@
 """Tests for the brute-force verification tools."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from neartoeplitz import (
     build_R,
     build_toeplitz,
     char_poly_eval,
+    general_toeplitz_eigen,
     near_toeplitz_eigen,
     rank_small,
     residual,
@@ -88,6 +90,43 @@ class TestCharPoly:
             for lam in values:
                 ev = char_poly_eval(matrix, lam)
                 assert abs(ev.value) <= 1e-8 * ev.scale
+
+
+def char_poly_reference(A, lam):
+    """The continuant loop as first written, indexing the numpy bands per step."""
+    lam = complex(lam)
+    p_prev = 1.0 + 0.0j
+    scale = 1.0
+    p = lam - complex(A.diag[0])
+    scale = max(scale, abs(p))
+    for k in range(1, A.n):
+        p_next = (lam - complex(A.diag[k])) * p - complex(A.sub[k - 1] * A.sup[k - 1]) * p_prev
+        p_prev = p
+        p = p_next
+        scale = max(scale, abs(p))
+    return p, scale
+
+
+def bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+class TestCharPolyReference:
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 64])
+    def test_bitwise_equal_to_reference(self, n):
+        cases = [
+            (build_R(n), near_toeplitz_eigen(n).eigenvalues()),
+            (build_K(n), [p.value for p in skew_toeplitz_eigen(n)]),
+        ]
+        for a, b, c in [(1 + 2j, 0.25, 3 - 1j), (2, 0.5, -3), (0.3, 1, -0.7j)]:
+            pairs = general_toeplitz_eigen(a, b, c, n)
+            cases.append((build_toeplitz(a, b, c, n), [p.value for p in pairs]))
+        for matrix, values in cases:
+            for lam in [*values, 0.0]:
+                ev = char_poly_eval(matrix, lam)
+                value, scale = char_poly_reference(matrix, lam)
+                assert bits(ev.value) == bits(value)
+                assert struct.pack("<d", ev.scale) == struct.pack("<d", scale)
 
 
 class TestResidual:
@@ -181,6 +220,25 @@ class TestSpectrumCompare:
         by_name = {c.name: c for c in comparison.checks}
         assert not by_name["charpoly"].passed
         assert not comparison.passed
+
+    def test_nan_claim_fails_every_check(self):
+        comparison = spectrum_compare([math.nan] * 4, build_R(4))
+        assert not comparison.passed
+        for check in comparison.checks:
+            assert not check.passed
+            assert math.isnan(check.lhs.real) or math.isnan(check.lhs.imag)
+
+    def test_one_nan_among_roots_fails_charpoly(self):
+        values = near_toeplitz_eigen(6).eigenvalues()
+        values[2] = complex(math.nan, 0.0)
+        by_name = {c.name: c for c in spectrum_compare(values, build_R(6)).checks}
+        assert not by_name["charpoly"].passed
+        assert math.isnan(by_name["charpoly"].lhs.real)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_infinite_claim_fails_every_check(self):
+        comparison = spectrum_compare([math.inf] * 4, build_R(4))
+        assert not any(check.passed for check in comparison.checks)
 
     def test_wrong_count_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,38 @@ from neartoeplitz import (
     s_inverse,
     symmetric_toeplitz_eigen,
 )
+from neartoeplitz.transforms import _certify_reduction, _r_band
+
+
+def dense_reduction(n):
+    """S^-1 R S as dense int64 triple product, with the alternating Neumann inverse."""
+    r = np.eye(n, k=1, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
+    r[0, 0], r[n - 1, n - 1] = -1, 1
+    s = np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
+    s_inv = np.eye(n, dtype=np.int64)
+    power = np.eye(n, dtype=np.int64)
+    for k in range(1, n):
+        shifted = np.zeros_like(power)  # power @ Z: column j is column j+1 of power
+        shifted[:, :-1] = power[:, 1:]
+        power = shifted
+        s_inv += (-1) ** k * power
+    conjugated = s_inv @ r @ s
+    expected = np.eye(n, k=1, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
+    expected[n - 1, n - 2] += 1
+    return conjugated, bool(np.array_equal(conjugated, expected))
+
+
+def dense_commutators(n):
+    """Both commutator identities as dense int64 matmuls."""
+    k = np.eye(n, k=1, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
+    s = np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
+    corner = np.zeros((n, n), dtype=np.int64)
+    corner[0, 0], corner[n - 1, n - 1] = 1, -1
+    e_n_e_nm1 = np.zeros((n, n), dtype=np.int64)
+    e_n_e_nm1[n - 1, n - 2] = 1
+    first = np.array_equal(k @ s - s @ k, corner)
+    second = np.array_equal(s @ e_n_e_nm1 + corner @ s, corner)
+    return bool(first and second)
 
 
 class TestSInverse:
@@ -95,6 +128,55 @@ class TestReduction:
         with pytest.raises(OrderTooSmall):
             reduce_R(1)
 
+    @pytest.mark.parametrize("n", range(2, 129))
+    def test_bands_agree_with_dense_reference(self, n):
+        cert = reduce_R(n)
+        conjugated, exact_match = dense_reduction(n)
+        assert cert.exact_match == exact_match
+        assert np.array_equal(cert.conjugated.entries, conjugated)
+
+    @pytest.mark.parametrize(
+        "n,perturbation",
+        [
+            (n, p)
+            for n in (2, 3, 4, 5, 8, 17, 64)
+            for p in ("corner", "sub", "diag")
+            if n > 2 or p != "diag"
+        ],
+    )
+    def test_perturbed_band_fails(self, n, perturbation):
+        band = _r_band(n)
+        if perturbation == "corner":
+            band[0][0] = 0
+        elif perturbation == "sub":
+            band[-1][n - 1] = 1
+        else:
+            band[0][n // 2] = 1
+        cert = _certify_reduction(band)
+        assert not cert.exact_match
+        # the densified witness is S^-1 A S with its fill-in, not just the band
+        a = np.zeros((n, n), dtype=np.int64)
+        for k, w in band.items():
+            rows = np.arange(max(0, -k), min(n, n - k))
+            a[rows, rows + k] = w[rows]
+        s = build_S(n).entries
+        assert np.array_equal(cert.conjugated.entries, s_inverse(n).entries @ a @ s)
+
+    def test_large_order_without_witnesses(self):
+        # one dense int64 witness at this order would be 3.2 GB
+        assert reduce_R(20000).exact_match
+        assert commutator_check(20000)
+
+    def test_memory_stays_linear(self):
+        tracemalloc.start()
+        try:
+            assert reduce_R(4096).exact_match
+            assert commutator_check(4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one dense int64 witness would be 128 MiB
+
 
 class TestCommutator:
     @pytest.mark.parametrize("n", [2, 4, 64])
@@ -104,6 +186,10 @@ class TestCommutator:
     @pytest.mark.parametrize("n", range(2, 65))
     def test_sweep(self, n):
         assert commutator_check(n)
+
+    @pytest.mark.parametrize("n", range(2, 129))
+    def test_agrees_with_dense_reference(self, n):
+        assert commutator_check(n) == dense_commutators(n)
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
