@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from .core import (
@@ -34,7 +35,9 @@ from .errors import NearToeplitzError
 from .oracle import RANK_GUARD, rank_small, spectrum_compare
 from .serialize import (
     format_complex,
+    format_complexes,
     format_float,
+    format_floats,
     load_matrix_file,
     reduction_to_doc,
     render_json,
@@ -64,6 +67,13 @@ class CliUsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value that starts '-<digit>' or '-.<digit>' ('-1+2i', '-1e-3') is a
+        # value, not an option; argparse's own test takes only '-N' and '-N.M'.
+        # No option of this CLI starts that way.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise CliUsageError(message)
 
@@ -132,8 +142,13 @@ def _resolve_tol(args) -> float:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliUsageError(
+                f"cannot write --output {args.output}: {exc.strerror or exc}"
+            ) from None
     else:
         sys.stdout.write(text)
 
@@ -145,9 +160,10 @@ def _bool_word(value) -> str:
 
 
 def _matrix_lines(matrix: DenseMatrix) -> list:
-    cells = [[format_complex(z) for z in row] for row in matrix.entries]
-    width = max(len(c) for row in cells for c in row)
-    return ["  ".join(c.rjust(width) for c in row) for row in cells]
+    n = matrix.n
+    cells = format_complexes(matrix.entries.reshape(-1))
+    line = "  ".join([f"%{max(map(len, cells))}s"] * n)  # cells right-justified
+    return [line % tuple(cells[i : i + n]) for i in range(0, n * n, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +179,13 @@ def _render_report(report: SpectrumReport, fmt: str) -> str:
         for k in range(1, n + 1):
             header += [f"v{k}_re", f"v{k}_im"]
         lines = [",".join(header)]
-        for pair in report.pairs:
-            row = [
-                str(pair.index_j),
-                format_float(pair.value.real),
-                format_float(pair.value.imag),
-                pair.flag,
-            ]
-            for z in pair.vector:
-                row += [format_float(z.real), format_float(z.imag)]
+        values = report.eigenvalues()
+        values_re = format_floats([z.real for z in values])
+        values_im = format_floats([z.imag for z in values])
+        for k, pair in enumerate(report.pairs):
+            row = [str(pair.index_j), values_re[k], values_im[k], pair.flag] + [""] * (2 * n)
+            row[4::2] = format_floats(pair.vector.real)
+            row[5::2] = format_floats(pair.vector.imag)
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
     lines = [
@@ -182,11 +196,10 @@ def _render_report(report: SpectrumReport, fmt: str) -> str:
         f"verified: {_bool_word(report.verified)}",
         "pairs:",
     ]
-    for pair in report.pairs:
-        vec = ", ".join(format_complex(z) for z in pair.vector)
+    for pair, value in zip(report.pairs, format_complexes(report.eigenvalues())):
+        vec = ", ".join(format_complexes(pair.vector))
         lines.append(
-            f"  j={pair.index_j} lambda={format_complex(pair.value)} "
-            f"flag={pair.flag} vector=[{vec}]"
+            f"  j={pair.index_j} lambda={value} flag={pair.flag} vector=[{vec}]"
         )
     return "\n".join(lines) + "\n"
 

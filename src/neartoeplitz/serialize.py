@@ -20,7 +20,9 @@ from .transforms import ReductionCertificate, SymmetrizationCertificate
 
 __all__ = [
     "format_float",
+    "format_floats",
     "format_complex",
+    "format_complexes",
     "render_json",
     "complex_to_doc",
     "matrix_to_doc",
@@ -34,24 +36,47 @@ __all__ = [
 ]
 
 
+def _finite_values(values) -> np.ndarray:
+    """The values as one flat float64 array, with every zero made +0.0.
+
+    Raises ValueError on the first non-finite value, in input order.
+    """
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {float(x[finite.argmin()])!r}")
+    return x + 0.0  # -0.0 + 0.0 is +0.0, which '%.17g' writes as '0'
+
+
+def _digits(x: np.ndarray) -> list:
+    """'%.17g' of each value (17 significant digits round-trip binary64)."""
+    return ("\n".join(["%.17g"] * x.size) % tuple(x.tolist())).split("\n")
+
+
 def format_float(x: float) -> str:
     """Render a finite binary64 with 17 significant digits; zero as '0'."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    if x == 0.0:
-        return "0"
-    return format(x, ".17g")
+    return _digits(_finite_values((x,)))[0]
+
+
+def format_floats(values) -> list:
+    """``[format_float(x) for x in values]``, formatting each distinct value once."""
+    unique, inverse = np.unique(_finite_values(values), return_inverse=True)
+    return np.array(_digits(unique), dtype=object)[inverse].tolist()
 
 
 def format_complex(z: complex) -> str:
     """CLI-style complex literal: 're' for real values, else 're+imi'."""
-    z = complex(z)
-    if z.imag == 0.0:
-        return format_float(z.real)
-    im = format_float(z.imag)
-    sign = "+" if not im.startswith("-") else ""
-    return f"{format_float(z.real)}{sign}{im}i"
+    return format_complexes((z,))[0]
+
+
+def format_complexes(values) -> list:
+    """``[format_complex(z) for z in values]``, through one array pass per part."""
+    z = np.asarray(values, dtype=np.complex128).reshape(-1)
+    im = format_floats(z.imag)  # first, so a non-finite imaginary part is the one named
+    return [
+        r if i == "0" else f"{r}{i}i" if i.startswith("-") else f"{r}+{i}i"
+        for r, i in zip(format_floats(z.real), im)
+    ]
 
 
 def complex_to_doc(z: complex) -> dict:
@@ -60,7 +85,12 @@ def complex_to_doc(z: complex) -> dict:
 
 
 def render_json(value, indent: int = 2) -> str:
-    """Serialize nested dict/list/scalar data with deterministic bytes."""
+    """Serialize nested dict/list/scalar data with deterministic bytes.
+
+    A 1-D float array leaf renders as its list of numbers and a 1-D complex
+    array leaf as its list of {re, im} objects, each number through one
+    format_floats call per array.
+    """
     lines: list = []
     _render(value, lines, 0, indent)
     return "".join(lines)
@@ -79,6 +109,8 @@ def _render(value, out: list, level: int, indent: int) -> None:
             _render(item, out, level + 1, indent)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(close_pad + "}")
+    elif isinstance(value, np.ndarray):
+        out.append(_render_array(value, level, indent))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -101,25 +133,43 @@ def _render(value, out: list, level: int, indent: int) -> None:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _band_doc(band: np.ndarray) -> list:
-    return [complex_to_doc(z) for z in band]
+def _render_array(values: np.ndarray, level: int, indent: int) -> str:
+    """A 1-D float or complex array, as _render would write its list of
+    numbers or of {re, im} objects, through one format_floats call."""
+    if values.ndim != 1 or not np.issubdtype(values.dtype, np.inexact):
+        raise TypeError(f"cannot serialize a {values.ndim}-D {values.dtype} array")
+    if not values.size:
+        return "[]"
+    pad = " " * (indent * (level + 1))
+    if np.iscomplexobj(values):
+        inner = pad + " " * indent
+        item = f'{pad}{{\n{inner}"re": %s,\n{inner}"im": %s\n{pad}}}'
+        numbers = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    else:
+        item = pad + "%s"
+        numbers = values
+    body = ",\n".join([item] * values.size) % tuple(format_floats(numbers))
+    return f"[\n{body}\n{' ' * (indent * level)}]"
 
 
 def matrix_to_doc(matrix) -> dict:
-    """Matrix-file document: banded or dense, entries as {re, im} pairs."""
+    """Matrix-file document: banded or dense, entries as complex arrays.
+
+    render_json writes each array as its list of {re, im} objects.
+    """
     if isinstance(matrix, TridiagonalMatrix):
         return {
             "n": matrix.n,
             "kind": "tridiagonal",
-            "sub": _band_doc(matrix.sub),
-            "diag": _band_doc(matrix.diag),
-            "sup": _band_doc(matrix.sup),
+            "sub": matrix.sub,
+            "diag": matrix.diag,
+            "sup": matrix.sup,
         }
     if isinstance(matrix, DenseMatrix):
         return {
             "n": matrix.n,
             "kind": "dense",
-            "entries": _band_doc(matrix.entries.reshape(-1)),
+            "entries": matrix.entries.reshape(-1),
         }
     raise TypeError(f"cannot serialize matrix of type {type(matrix).__name__}")
 
@@ -194,7 +244,7 @@ def report_to_doc(report: SpectrumReport) -> dict:
             {
                 "j": pair.index_j,
                 "lambda": complex_to_doc(pair.value),
-                "vector": [complex_to_doc(z) for z in pair.vector],
+                "vector": pair.vector,
                 "flag": pair.flag,
             }
             for pair in report.pairs
@@ -257,7 +307,7 @@ def symmetrization_to_doc(cert: SymmetrizationCertificate) -> dict:
             "b": complex_to_doc(cert.b),
             "c": complex_to_doc(cert.c),
             "d": complex_to_doc(cert.d),
-            "diag_d": [complex_to_doc(z) for z in cert.diag_d],
+            "diag_d": cert.diag_d,
             "symmetrized": matrix_to_doc(cert.symmetrized),
         },
     }

@@ -132,6 +132,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.count("error:") == 1
 
+    @pytest.mark.parametrize("band", ["--a", "--b", "--c"])
+    @pytest.mark.parametrize("value", ["-1+2i", "-1e-3", "-0.5-2i"])
+    def test_negative_band_literal_needs_no_equals(self, capsys, band, value):
+        bands = {"--a": "2", "--b": "0", "--c": "1", band: value}
+        common = ["eigen", "--family", "T", "--n", "4", "--format", "json"]
+        spaced = [token for flag, text in bands.items() for token in (flag, text)]
+        joined = [f"{flag}={text}" for flag, text in bands.items()]
+        result = run_cli(capsys, *common, *spaced)
+        assert result[0] == 0
+        assert result == run_cli(capsys, *common, *joined)
+
+    def test_band_flag_without_value_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eigen", "--family", "T", "--a", "--b", "0", "--c", "1", "--n", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--a" in err
+
     def test_zero_band_product_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "eigen", "--family", "T", "--n", "3",
@@ -198,6 +217,17 @@ class TestEigen:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["matrix"] == "R(n=4)"
+
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "eigen", "--family", "R", "--n", "4", "--format", "json",
+            "--output", str(tmp_path / "missing" / "x.json"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
 
 
 class TestVerify:

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -235,9 +236,16 @@ class TestSpectrumCompare:
         assert not by_name["charpoly"].passed
         assert math.isnan(by_name["charpoly"].lhs.real)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_infinite_claim_fails_every_check(self):
-        comparison = spectrum_compare([math.inf] * 4, build_R(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comparison = spectrum_compare([math.inf] * 4, build_R(4))
+        assert not any(check.passed for check in comparison.checks)
+
+    def test_overflowing_claim_fails_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comparison = spectrum_compare([1e300] * 4, build_R(4))
         assert not any(check.passed for check in comparison.checks)
 
     def test_wrong_count_rejected(self):
